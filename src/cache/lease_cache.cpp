@@ -25,20 +25,27 @@ LeaseCache::LeaseCache(CacheOptions opts) : opts_(opts) {
 }
 
 LeaseCache::Lookup LeaseCache::lookup(std::string_view key) {
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
+    return lookup_locked(key, now);
+}
+
+std::vector<LeaseCache::Lookup> LeaseCache::lookup_many(std::span<const std::string> keys) {
+    std::vector<Lookup> out(keys.size());
+    const auto now = Clock::now();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = lookup_locked(keys[i], now);
+    return out;
+}
+
+LeaseCache::Lookup LeaseCache::lookup_locked(std::string_view key, Clock::time_point now) {
+    auto it = index_.find(key);
     if (it == index_.end()) {
         ++counters_.misses;
         return {};
     }
     Entry& e = *it->second;
-    const auto db_ep = db_epochs_.find(e.db_id);
-    const auto tg_ep = target_epochs_.find(e.target);
-    const bool epoch_ok =
-        (db_ep == db_epochs_.end() ? 0 : db_ep->second) == e.db_epoch &&
-        (tg_ep == target_epochs_.end() ? 0 : tg_ep->second) == e.target_epoch;
-    if (!epoch_ok) {
+    if (*e.db_epoch_now != e.db_epoch || *e.target_epoch_now != e.target_epoch) {
         ++counters_.stale_drops;
         ++counters_.misses;
         unlink_locked(it->second);
@@ -77,9 +84,9 @@ void LeaseCache::fill(std::string key, hep::BufferView value, std::uint64_t seq,
     e.vepoch = vepoch;
     e.db_epoch = t.db_epoch;
     e.target_epoch = t.target_epoch;
-    e.db_id = t.db_id;
-    e.target = t.target;
-    e.filled_at = std::chrono::steady_clock::now();
+    e.db_epoch_now = &db_epochs_.try_emplace(t.db_id).first->second;
+    e.target_epoch_now = &target_epochs_.try_emplace(t.target).first->second;
+    e.filled_at = Clock::now();
     bytes_ += entry_bytes(e);
     lru_.push_front(std::move(e));
     index_.emplace(lru_.front().key, lru_.begin());
@@ -88,31 +95,59 @@ void LeaseCache::fill(std::string key, hep::BufferView value, std::uint64_t seq,
 }
 
 bool LeaseCache::renew(std::string_view key, std::uint64_t seq, const Ticket& t) {
+    const auto now = Clock::now();
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
-    if (it == index_.end()) return false;
-    Entry& e = *it->second;
-    if (e.seq != seq) return false;
+    return renew_locked(key, seq, t, current_epochs_locked(t), now) != nullptr;
+}
+
+std::vector<std::optional<hep::BufferView>> LeaseCache::renew_many(
+    std::span<const std::string_view> keys, std::uint64_t seq, const Ticket& t) {
+    std::vector<std::optional<hep::BufferView>> renewed(keys.size());
+    const auto now = Clock::now();
+    std::lock_guard<std::mutex> lock(mu_);
+    const TicketEpochs live = current_epochs_locked(t);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (const Entry* e = renew_locked(keys[i], seq, t, live, now)) renewed[i] = e->value;
+    }
+    return renewed;
+}
+
+LeaseCache::TicketEpochs LeaseCache::current_epochs_locked(const Ticket& t) {
     // The ticket was captured before the seq probe. If either epoch moved
-    // since — a mutation, or a failover promotion demoting the target this
-    // entry was filled from — the probe's answer may have come from a stale
-    // primary; refuse and let the caller refetch from the current one.
+    // since — a mutation, or a failover promotion demoting the target the
+    // probe asked — the probe's answer may have come from a stale primary;
+    // nothing is renewed and the caller refetches from the current one.
     const auto db_ep = db_epochs_.find(t.db_id);
     const auto tg_ep = target_epochs_.find(t.target);
-    if ((db_ep == db_epochs_.end() ? 0 : db_ep->second) != t.db_epoch ||
-        (tg_ep == target_epochs_.end() ? 0 : tg_ep->second) != t.target_epoch) {
-        return false;
+    if (db_ep == db_epochs_.end() || tg_ep == target_epochs_.end() ||
+        db_ep->second != t.db_epoch || tg_ep->second != t.target_epoch) {
+        return {};
     }
-    if (e.db_epoch != t.db_epoch || e.target_epoch != t.target_epoch) return false;
-    e.filled_at = std::chrono::steady_clock::now();
+    return {&db_ep->second, &tg_ep->second};
+}
+
+const LeaseCache::Entry* LeaseCache::renew_locked(std::string_view key, std::uint64_t seq,
+                                                  const Ticket& t, const TicketEpochs& live,
+                                                  Clock::time_point now) {
+    if (live.db == nullptr) return nullptr;
+    auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    Entry& e = *it->second;
+    // The entry must have been filled from the ticket's db and target, at
+    // the ticket's epochs, with the seq the probe just confirmed.
+    if (e.seq != seq || e.db_epoch_now != live.db || e.target_epoch_now != live.target ||
+        e.db_epoch != t.db_epoch || e.target_epoch != t.target_epoch) {
+        return nullptr;
+    }
+    e.filled_at = now;
     lru_.splice(lru_.begin(), lru_, it->second);
     ++counters_.renewals;
-    return true;
+    return &e;
 }
 
 void LeaseCache::erase(std::string_view key) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(std::string(key));
+    auto it = index_.find(key);
     if (it != index_.end()) unlink_locked(it->second);
 }
 

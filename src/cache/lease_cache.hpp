@@ -32,9 +32,12 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/json.hpp"
@@ -96,6 +99,10 @@ class LeaseCache {
     /// and reported as a miss.
     Lookup lookup(std::string_view key);
 
+    /// Probe a whole page of keys under one lock and one clock read (the
+    /// bulk-load paths): out[i] is what lookup(keys[i]) would return.
+    std::vector<Lookup> lookup_many(std::span<const std::string> keys);
+
     /// Capture the current epochs of (db_id, target) for a fill in flight.
     Ticket ticket(std::string db_id, std::string target);
 
@@ -111,6 +118,13 @@ class LeaseCache {
     /// demoted primary cannot keep its stale leases alive. Returns false if
     /// the entry is gone, its seq moved, or the ticket's epochs are stale.
     bool renew(std::string_view key, std::uint64_t seq, const Ticket& t);
+
+    /// renew() for a page of expired keys revalidated by ONE seq probe, in
+    /// one locked pass. out[i] is the value whose lease was renewed (the
+    /// entry as it stands now, so a racing refill is never served under an
+    /// older lookup's bytes), nullopt where the renewal was refused.
+    std::vector<std::optional<hep::BufferView>> renew_many(
+        std::span<const std::string_view> keys, std::uint64_t seq, const Ticket& t);
 
     void erase(std::string_view key);
 
@@ -153,6 +167,19 @@ class LeaseCache {
     [[nodiscard]] json::Value stats_json() const;
 
   private:
+    /// Transparent hashing: lookups by string_view build no std::string.
+    /// Deliberately not noexcept: libstdc++ then caches each node's hash
+    /// code, as it does for std::hash<std::string>, so bucket scans and
+    /// rehashes never rehash the (long) product keys.
+    struct KeyHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    template <typename V>
+    using StringMap = std::unordered_map<std::string, V, KeyHash, std::equal_to<>>;
+
     struct Entry {
         std::string key;
         hep::BufferView value;
@@ -161,8 +188,11 @@ class LeaseCache {
         std::uint32_t vepoch = 0;
         std::uint64_t db_epoch = 0;
         std::uint64_t target_epoch = 0;
-        std::string db_id;
-        std::string target;
+        // The live epoch counters of the fill's db and target. Epoch-map
+        // nodes are never erased, so the pointers stay valid and a lookup
+        // checks freshness without hashing the db/target names.
+        const std::uint64_t* db_epoch_now = nullptr;
+        const std::uint64_t* target_epoch_now = nullptr;
         std::chrono::steady_clock::time_point filled_at;
     };
     using List = std::list<Entry>;
@@ -170,6 +200,18 @@ class LeaseCache {
     [[nodiscard]] std::size_t entry_bytes(const Entry& e) const noexcept {
         return e.key.size() + e.value.size();
     }
+    using Clock = std::chrono::steady_clock;
+    Lookup lookup_locked(std::string_view key, Clock::time_point now);
+    /// The ticket's live epoch counters, or null when an epoch moved since
+    /// the ticket was captured (then nothing may be renewed against it).
+    struct TicketEpochs {
+        const std::uint64_t* db = nullptr;
+        const std::uint64_t* target = nullptr;
+    };
+    TicketEpochs current_epochs_locked(const Ticket& t);
+    /// The renewed entry, or null when the renewal is refused.
+    const Entry* renew_locked(std::string_view key, std::uint64_t seq, const Ticket& t,
+                              const TicketEpochs& live, Clock::time_point now);
     void unlink_locked(List::iterator it);
     void evict_locked();
 
@@ -178,9 +220,9 @@ class LeaseCache {
 
     mutable std::mutex mu_;
     List lru_;  // front = MRU
-    std::unordered_map<std::string, List::iterator> index_;
-    std::unordered_map<std::string, std::uint64_t> db_epochs_;
-    std::unordered_map<std::string, std::uint64_t> target_epochs_;
+    StringMap<List::iterator> index_;
+    StringMap<std::uint64_t> db_epochs_;
+    StringMap<std::uint64_t> target_epochs_;
     std::size_t bytes_ = 0;
     Counters counters_;
 

@@ -231,17 +231,10 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
         return std::move(found.value);
     }
     if (found.state == cache::LeaseCache::LookupState::kExpired) {
-        // The lease ran out but the value may well still be current: confirm
-        // the owner's mutation seq and renew instead of refetching the bytes.
-        // The ticket is captured BEFORE the probe — if a failover promotion
-        // (or any local invalidation) lands between probe and renew, the
-        // epochs moved and the renew is refused instead of resurrecting a
-        // lease against the demoted primary's stale seq.
-        const auto renew_ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
-        auto seq = db.mutation_seq();
-        if (seq.ok() && *seq == found.seq && cache_->renew(key, *seq, renew_ticket)) {
+        const std::string_view k = key;
+        if (auto renewed = std::move(renew_leases(db, {&k, 1})[0])) {
             cache_->hit_latency().observe(ms_since(start));
-            return std::move(found.value);
+            return std::move(*renewed);
         }
     }
 
@@ -268,6 +261,20 @@ Result<hep::BufferView> DataStoreImpl::read_product(std::string_view container_k
     return std::move(r->value);
 }
 
+std::vector<std::optional<hep::BufferView>> DataStoreImpl::renew_leases(
+    const yokan::DatabaseHandle& db, std::span<const std::string_view> keys) {
+    // The leases ran out but the values may well still be current: confirm
+    // the owner's mutation seq and renew instead of refetching the bytes.
+    // The ticket is captured BEFORE the probe — if a failover promotion (or
+    // any local invalidation) lands between probe and renew, the epochs
+    // moved and the renewal is refused instead of resurrecting leases
+    // against the demoted primary's stale seq.
+    const auto ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
+    auto seq = db.mutation_seq();
+    if (!seq.ok()) return std::vector<std::optional<hep::BufferView>>(keys.size());
+    return cache_->renew_many(keys, *seq, ticket);
+}
+
 Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::load_products_bulk(
     std::size_t db_index, const std::vector<std::string>& keys,
     const yokan::proto::ReadPin* pin) {
@@ -281,29 +288,48 @@ Result<std::vector<std::optional<hep::BufferView>>> DataStoreImpl::load_products
     }
     if (!cache_ || cache_->bypass() || keys.empty()) return db.get_multi_views(keys);
 
+    // One probe of the cache for the whole page, then one seq probe renews
+    // every expired lease the owner has not mutated since its fill.
+    auto found = cache_->lookup_many(keys);
     std::vector<std::optional<hep::BufferView>> out(keys.size());
-    std::vector<std::string> missing;
-    std::vector<std::size_t> slots;
+    std::vector<std::size_t> expired;
+    std::vector<std::size_t> slots;  // keys to fetch
     for (std::size_t i = 0; i < keys.size(); ++i) {
-        auto found = cache_->lookup(keys[i]);
-        if (found.state == cache::LeaseCache::LookupState::kHit) {
-            out[i] = std::move(found.value);
-        } else {
-            missing.push_back(keys[i]);
-            slots.push_back(i);
+        switch (found[i].state) {
+            case cache::LeaseCache::LookupState::kHit:
+                out[i] = std::move(found[i].value);
+                break;
+            case cache::LeaseCache::LookupState::kExpired:
+                expired.push_back(i);
+                break;
+            case cache::LeaseCache::LookupState::kMiss:
+                slots.push_back(i);
+                break;
         }
     }
-    if (missing.empty()) return out;
+    if (!expired.empty()) {
+        std::vector<std::string_view> expired_keys(expired.size());
+        for (std::size_t j = 0; j < expired.size(); ++j) expired_keys[j] = keys[expired[j]];
+        auto renewed = renew_leases(db, expired_keys);
+        for (std::size_t j = 0; j < expired.size(); ++j) {
+            if (renewed[j]) out[expired[j]] = std::move(renewed[j]);
+            else slots.push_back(expired[j]);
+        }
+    }
+    if (slots.empty()) return out;
 
     // The seq rides the get_multi response (sampled server-side before the
     // reads), so versioned bulk fills cost no extra RPC.
+    std::vector<std::string> missing;
+    missing.reserve(slots.size());
+    for (std::size_t i : slots) missing.push_back(keys[i]);
     const auto ticket = cache_->ticket(cache_db_id(db), cache_fill_target(db));
     std::uint64_t seq = 0;
     auto fetched = db.get_multi_views(missing, 1 << 20, &seq);
     if (!fetched.ok()) return fetched.status();
     for (std::size_t j = 0; j < missing.size(); ++j) {
         if (!(*fetched)[j].has_value()) continue;
-        cache_->fill(missing[j], *(*fetched)[j], seq, ticket);
+        cache_->fill(std::move(missing[j]), *(*fetched)[j], seq, ticket);
         out[slots[j]] = std::move(*(*fetched)[j]);
     }
     return out;

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/lease_cache.hpp"
@@ -234,6 +236,12 @@ class DataStoreImpl {
     [[nodiscard]] const yokan::DatabaseHandle& registry() const {
         return dbs_[static_cast<std::size_t>(Role::kDatasets)][0];
     }
+    /// Revalidate the expired cache leases of `keys` (all owned by `db`)
+    /// with ONE mutation_seq probe and renew, in one locked pass, those whose
+    /// fill seq it confirms. read_product and load_products_bulk share it.
+    /// out[i] is keys[i]'s renewed value, nullopt when it must be refetched.
+    std::vector<std::optional<hep::BufferView>> renew_leases(
+        const yokan::DatabaseHandle& db, std::span<const std::string_view> keys);
     /// Published epochs recorded on the registry (sorted ascending).
     Result<std::vector<std::uint32_t>> published_epochs() const;
     /// Best-effort re-broadcast of every registry marker to every database —

@@ -54,12 +54,17 @@ void ParallelEventProcessor::reader_loop(const DataSet& dataset, std::size_t rea
         // PEP run cannot starve interactive users of the same service.
         const auto handle =
             impl.databases(Role::kEvents)[db_index].with_class(qos::kClassBatch);
-        std::string after = prefix;
+        // The next key page is listed while the current one is prefetched:
+        // one request in flight, no extra thread. If prefetching throws, the
+        // in-flight listing is drained as `next` unwinds.
+        const std::size_t page_size = options_.input_batch_size;
+        yokan::PendingKeys next = handle.list_keys_async(prefix, prefix, page_size);
         while (true) {
-            auto page = handle.list_keys(after, prefix, options_.input_batch_size);
+            auto page = next.get();
             if (!page.ok()) throw Exception(page.status());
             if (page->empty()) break;
-            after = page->back();
+            const bool last = page->size() < page_size;
+            if (!last) next = handle.list_keys_async(page->back(), prefix, page_size);
 
             auto cache = prefetch_products(*page);
 
@@ -75,7 +80,7 @@ void ParallelEventProcessor::reader_loop(const DataSet& dataset, std::size_t rea
                 batch.cache = cache;
                 queue.push(std::move(batch));
             }
-            if (page->size() < options_.input_batch_size) break;
+            if (last) break;
         }
     }
     queue.producer_done();

@@ -125,8 +125,24 @@ class Engine {
                          rpc::ProviderId provider_id, const Req& req,
                          std::chrono::milliseconds deadline = std::chrono::milliseconds{0},
                          const qos::QosTag& tag = {}) {
-        auto raw =
-            endpoint_->call_chain(to, name, provider_id, serial::to_chain(req), deadline, tag);
+        return decode<Resp>(
+            endpoint_->call_chain(to, name, provider_id, serial::to_chain(req), deadline, tag));
+    }
+
+    /// Typed asynchronous call: the request is on the wire when this returns.
+    /// Wait on the eventual, then decode<Resp>() what it delivers.
+    template <typename Req>
+    std::shared_ptr<abt::Eventual<Result<hep::BufferChain>>> forward_async(
+        const std::string& to, std::string_view name, rpc::ProviderId provider_id,
+        const Req& req, std::chrono::milliseconds deadline = std::chrono::milliseconds{0},
+        const qos::QosTag& tag = {}) {
+        return endpoint_->call_async_chain(to, name, provider_id, serial::to_chain(req),
+                                           deadline, tag);
+    }
+
+    /// Decode a typed response (or pass the call's error through).
+    template <typename Resp>
+    static Result<Resp> decode(const Result<hep::BufferChain>& raw) {
         if (!raw.ok()) return raw.status();
         Resp resp{};
         try {
