@@ -88,7 +88,13 @@ Endpoint::~Endpoint() { shutdown(); }
 void Endpoint::shutdown() {
     bool expected = false;
     if (!shut_down_.compare_exchange_strong(expected, true)) return;
-    stopped_.store(true, std::memory_order_release);
+    {
+        // Under queue_mutex_: the progress loop tests stopped_ and then waits
+        // on queue_cv_ while holding it, so a store outside the lock could
+        // land between the test and the wait and the notify would be lost.
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        stopped_.store(true, std::memory_order_release);
+    }
     queue_cv_.notify_all();
     if (progress_thread_.joinable()) progress_thread_.join();
     fabric_.remove_endpoint(address_);
