@@ -26,6 +26,9 @@ struct SchedContext {
     void* asan_fake_stack = nullptr;
     const void* asan_sched_stack = nullptr;
     std::size_t asan_sched_stack_size = 0;
+    // TSan context of the scheduler's own stack, the target of every switch
+    // back from a ULT (see tsan_fiber.hpp; null without TSan).
+    void* tsan_sched_fiber = nullptr;
 };
 
 SchedContext*& sched_tls();

@@ -81,6 +81,8 @@ class Ult : public std::enable_shared_from_this<Ult> {
     // ASan fiber bookkeeping: parks this ULT's fake stack across switches
     // (see asan_fiber.hpp; unused without ASan).
     void* asan_fake_stack_ = nullptr;
+    // TSan context of this ULT's stack (see tsan_fiber.hpp; null without TSan).
+    void* tsan_fiber_ = nullptr;
 
     std::atomic<UltState> state_{UltState::kReady};
     // Guards the Blocking->Blocked transition against a concurrent wake().

@@ -4,6 +4,7 @@
 
 #include "abt/asan_fiber.hpp"
 #include "abt/sched_context.hpp"
+#include "abt/tsan_fiber.hpp"
 #include "abt/ult.hpp"
 #include "abt/wait_queue.hpp"
 #include "common/logging.hpp"
@@ -30,6 +31,7 @@ void Xstream::join() {
 
 void Xstream::scheduler_loop() {
     detail::SchedContext sc;
+    sc.tsan_sched_fiber = detail::tsan_current_fiber();
     detail::sched_tls() = &sc;
 
     auto run_item = [&](WorkItem&& item) {
@@ -44,6 +46,7 @@ void Xstream::scheduler_loop() {
         sc.post_action = detail::SchedContext::PostAction::kNone;
         ult->state_.store(UltState::kRunning, std::memory_order_release);
         detail::asan_start_switch(&sc.asan_fake_stack, ult->stack_.get(), ult->stack_size_);
+        detail::tsan_switch_to(ult->tsan_fiber_);
         swapcontext(&sc.sched_ctx, &ult->context_);
         detail::asan_finish_switch(sc.asan_fake_stack, nullptr, nullptr);
         // Back on the scheduler stack: act on how the ULT left.

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "common/crc32.hpp"
 #include "common/endian.hpp"
-#include "common/hash.hpp"
 #include "serial/archive.hpp"
 
 namespace hep::columnar {
@@ -31,7 +31,7 @@ ColumnBlock encode_block(const void* data, std::uint64_t count, std::size_t widt
     ColumnBlock block;
     block.width = static_cast<std::uint8_t>(width);
     block.count = count;
-    block.checksum = fnv1a64(std::string_view(static_cast<const char*>(data), count * width));
+    block.checksum = crc32c(std::string_view(static_cast<const char*>(data), count * width));
     if (mode == CompressionMode::kAuto) {
         auto [codec, payload] = compress::compress_auto(data, count, width);
         block.codec = static_cast<std::uint8_t>(codec);
@@ -61,7 +61,7 @@ Status decode_block(const ColumnBlock& block, void* out) noexcept {
                                      block.count, block.width, out);
     if (!st.ok()) return st;
     const std::string_view raw(static_cast<const char*>(out), block.count * block.width);
-    if (fnv1a64(raw) != block.checksum) {
+    if (crc32c(raw) != block.checksum) {
         return Status::Corruption("column block checksum mismatch");
     }
     return Status::OK();
@@ -172,9 +172,15 @@ std::string chunk_key(std::string_view uuid, std::string_view suffix, std::strin
     return key;
 }
 
-std::string meta_scan_prefix(std::string_view dataset_prefix) {
+std::string meta_scan_prefix(std::string_view dataset_prefix, std::string_view suffix) {
     std::string prefix(kColPrefix);
     prefix.append(dataset_prefix);
+    if (dataset_prefix.size() == kUuidBytes) {
+        prefix.append(suffix);
+        prefix.push_back('/');
+        prefix.append(kMetaMember);
+        prefix.push_back('/');
+    }
     return prefix;
 }
 

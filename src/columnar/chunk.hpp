@@ -39,13 +39,13 @@ inline constexpr std::string_view kMetaMember = "@meta";
 inline constexpr std::size_t kUuidBytes = 16;
 
 /// One compressed column payload: `count` elements of `width` bytes,
-/// compressed with `codec`; `checksum` is fnv1a64 over the UNcompressed
-/// bytes, verified after every decode.
+/// compressed with `codec`; `checksum` is the CRC32C (common/crc32.hpp) of
+/// the UNcompressed bytes, verified after every decode.
 struct ColumnBlock {
     std::uint8_t codec = 0;  // compress::Codec
     std::uint8_t width = 0;  // 1, 4 or 8
     std::uint64_t count = 0;
-    std::uint64_t checksum = 0;
+    std::uint32_t checksum = 0;
     std::string payload;
 
     template <typename A>
@@ -117,10 +117,13 @@ Result<DecodedMeta> decode_meta(std::string_view value);
 std::string chunk_key(std::string_view uuid, std::string_view suffix, std::string_view member,
                       std::uint64_t chunk_id);
 
-/// Scan prefix covering every @meta key of (dataset-prefix, product). The
-/// dataset prefix may be shorter than a full uuid (it is whatever OpenReq
-/// scopes the scan with); the per-key matcher below checks full structure.
-std::string meta_scan_prefix(std::string_view dataset_prefix);
+/// Scan prefix covering every @meta key of (dataset-prefix, product). With a
+/// full 16-byte dataset uuid this is "col/<uuid><suffix>/@meta/", which
+/// holds nothing but that product's chunk directory. A shorter prefix (it is
+/// whatever OpenReq scopes the scan with) cannot name the product's range,
+/// so it yields "col/<prefix>" and the per-key matcher below checks the full
+/// structure of every key it passes.
+std::string meta_scan_prefix(std::string_view dataset_prefix, std::string_view suffix);
 
 /// True iff `key` is a chunk @meta key for the given product suffix;
 /// extracts the dataset uuid and chunk id.

@@ -13,13 +13,18 @@
 
 namespace hep {
 
+/// Write the 8-byte big-endian encoding of `v` to `out[0..8)`.
+inline void store_be64(char* out, std::uint64_t v) noexcept {
+    for (int i = 7; i >= 0; --i) {
+        out[i] = static_cast<char>(v & 0xFF);
+        v >>= 8;
+    }
+}
+
 /// Append the 8-byte big-endian encoding of `v` to `out`.
 inline void append_be64(std::string& out, std::uint64_t v) {
     char buf[8];
-    for (int i = 7; i >= 0; --i) {
-        buf[i] = static_cast<char>(v & 0xFF);
-        v >>= 8;
-    }
+    store_be64(buf, v);
     out.append(buf, 8);
 }
 

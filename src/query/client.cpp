@@ -121,7 +121,7 @@ Status QueryClient::run(const proto::QuerySpec& spec, std::string_view prefix,
             }
             ++stats.pages;
             stats.entries += page->entries.size();
-            stats.bytes_received += serial::to_string(*page).size();
+            stats.bytes_received += serial::serialized_size(*page);
             stats.events_examined += page->events_examined;
             stats.rows_examined += page->rows_examined;
             stats.bytes_scanned += page->bytes_scanned;

@@ -1,10 +1,12 @@
 #include "query/provider.hpp"
 
+#include <array>
 #include <chrono>
-#include <set>
+#include <cstring>
 
 #include "columnar/chunk.hpp"
 #include "common/endian.hpp"
+#include "common/hash.hpp"
 #include "hepnos/keys.hpp"
 #include "serial/archive.hpp"
 
@@ -22,6 +24,7 @@ namespace {
 // Product keys of EVENT-level containers are exactly this long before the
 // "<label>#<type>" suffix: 16-byte dataset UUID + run/subrun/event BE64.
 constexpr std::size_t kEventKeyBytes = 16 + 3 * 8;
+static_assert(kEventKeyBytes == columnar::kUuidBytes + 3 * 8);
 
 bool ends_with(std::string_view s, std::string_view suffix) {
     return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
@@ -29,18 +32,106 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 
 /// Event container key (uuid + run/subrun/event BE64) — the blob product key
 /// minus its "<label>#<type>" suffix; what the covered-event set stores.
-std::string container_key(std::string_view uuid, std::uint64_t run, std::uint64_t subrun,
-                          std::uint64_t event) {
-    std::string key(uuid);
-    append_be64(key, run);
-    append_be64(key, subrun);
-    append_be64(key, event);
+using ContainerKey = std::array<char, kEventKeyBytes>;
+
+ContainerKey container_key(std::string_view uuid, std::uint64_t run, std::uint64_t subrun,
+                           std::uint64_t event) {
+    ContainerKey key{};
+    std::memcpy(key.data(), uuid.data(), columnar::kUuidBytes);
+    store_be64(key.data() + columnar::kUuidBytes, run);
+    store_be64(key.data() + columnar::kUuidBytes + 8, subrun);
+    store_be64(key.data() + columnar::kUuidBytes + 16, event);
     return key;
 }
 
-/// Metadata keys scanned per chunk-phase iteration. The "col/" range holds
-/// one @meta plus one key per member for every chunk, so this covers a few
-/// chunks' worth of keys per backend lock acquisition.
+/// Blob product key of an event: container key + "<label>#<type>".
+std::string product_key_of(const ContainerKey& container, std::string_view suffix) {
+    std::string key;
+    key.reserve(container.size() + suffix.size());
+    key.append(container.data(), container.size());
+    key.append(suffix);
+    return key;
+}
+
+/// Open-addressing (linear probing) set of container keys: the chunk-phase
+/// coverage record. Keys live inline in one flat slot array, so registering
+/// an event allocates nothing once the table is reserved from the chunk
+/// metas' event counts. The hash mixes every 8-byte word of the key: the
+/// run/subrun/event words are big-endian, so a hash that looked only at low
+/// bits would see just their high (mostly constant) bytes and cluster.
+class CoverageSet {
+  public:
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+    /// Make room for `n` keys in total without rehashing.
+    void reserve(std::size_t n) {
+        std::size_t cap = slots_.empty() ? 64 : slots_.size();
+        while (cap < 2 * n) cap *= 2;  // load factor <= 1/2
+        if (cap != slots_.size()) rehash(cap);
+    }
+
+    /// True when `key` was not present (first registration wins).
+    bool insert(const ContainerKey& key) {
+        reserve(size_ + 1);
+        std::size_t i = probe(std::string_view(key.data(), key.size()));
+        if (used_[i]) return false;
+        used_[i] = 1;
+        slots_[i] = key;
+        ++size_;
+        return true;
+    }
+
+    /// Whether the container key that `key` (a product key) starts with is
+    /// present; `key` must be at least kEventKeyBytes long.
+    [[nodiscard]] bool contains(std::string_view key) const {
+        return !slots_.empty() && used_[probe(key)] != 0;
+    }
+
+  private:
+    static std::uint64_t hash(std::string_view key) noexcept {
+        std::uint64_t h = 0;
+        for (std::size_t off = 0; off < kEventKeyBytes; off += 8) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, key.data() + off, 8);
+            h = mix64(h ^ w);
+        }
+        return h;
+    }
+
+    /// Slot holding `key`, or the empty slot where it would go.
+    [[nodiscard]] std::size_t probe(std::string_view key) const noexcept {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = hash(key) & mask;
+        while (used_[i] && std::memcmp(slots_[i].data(), key.data(), kEventKeyBytes) != 0) {
+            i = (i + 1) & mask;
+        }
+        return i;
+    }
+
+    void rehash(std::size_t cap) {
+        std::vector<ContainerKey> old_slots(cap);
+        std::vector<std::uint8_t> old_used(cap, 0);
+        old_slots.swap(slots_);
+        old_used.swap(used_);
+        for (std::size_t i = 0; i < old_slots.size(); ++i) {
+            if (!old_used[i]) continue;
+            const std::size_t j =
+                probe(std::string_view(old_slots[i].data(), old_slots[i].size()));
+            used_[j] = 1;
+            slots_[j] = old_slots[i];
+        }
+    }
+
+    std::vector<ContainerKey> slots_;
+    std::vector<std::uint8_t> used_;
+    std::size_t size_ = 0;
+};
+
+/// Keys scanned per chunk-phase iteration. Under a full dataset uuid the
+/// scan range holds only the product's @meta keys, so this is up to 128
+/// chunks per scan; under a shorter prefix it also walks every member
+/// column key of every product's chunks.
 constexpr std::uint64_t kMetaScanKeys = 128;
 
 /// Refuse to materialize columns beyond this many rows — an allocation guard
@@ -75,11 +166,11 @@ struct QueryProvider::Cursor {
     bool columnar = false;
     enum class Phase : std::uint8_t { kChunks, kBlobs };
     Phase phase = Phase::kChunks;
-    std::string chunk_pos;    // chunk-phase scan position
-    std::string meta_prefix;  // "col/" + prefix
-    std::set<std::string, std::less<>> covered;  // container keys served from chunks
-    std::vector<std::uint32_t> needed;           // filter.referenced_members()
-    std::vector<double> scratch;                 // matches_batch arena, reused
+    std::string chunk_pos;       // chunk-phase scan position
+    std::string meta_prefix;     // columnar::meta_scan_prefix(prefix, suffix)
+    CoverageSet covered;         // container keys served from chunks
+    std::vector<std::uint32_t> needed;  // filter.referenced_members()
+    std::vector<double> scratch;        // matches_batch arena, reused
 
     abt::Mutex mutex;
     abt::CondVar cv;
@@ -195,7 +286,7 @@ Result<OpenResp> QueryProvider::handle_open(const OpenReq& req) {
                 "\"columnar\" knob)");
         }
         cursor->columnar = true;
-        cursor->meta_prefix = columnar::meta_scan_prefix(req.prefix);
+        cursor->meta_prefix = columnar::meta_scan_prefix(req.prefix, cursor->suffix);
         cursor->needed = req.spec.filter.referenced_members();
         stats_.columnar_queries.fetch_add(1, std::memory_order_relaxed);
         if (!req.resume_after.empty()) {
@@ -292,7 +383,7 @@ Result<Page> QueryProvider::handle_next(const NextReq& req) {
     if (finished) retire_cursor(c->id);
     if (page.ok()) {
         stats_.pages_served.fetch_add(1, std::memory_order_relaxed);
-        stats_.bytes_returned.fetch_add(serial::to_string(*page).size(),
+        stats_.bytes_returned.fetch_add(serial::serialized_size(*page),
                                         std::memory_order_relaxed);
     }
     return page;
@@ -339,7 +430,6 @@ void QueryProvider::evaluate_blob_record(Cursor& c, std::string_view key,
     entry.run = decode_be64(key.substr(16, 8));
     entry.subrun = decode_be64(key.substr(24, 8));
     entry.event = decode_be64(key.substr(32, 8));
-    entry.rows = accepted;
     stats_.events_accepted.fetch_add(1, std::memory_order_relaxed);
     stats_.rows_accepted.fetch_add(accepted.size(), std::memory_order_relaxed);
     if (c.spec.write_selected) {
@@ -347,6 +437,7 @@ void QueryProvider::evaluate_blob_record(Cursor& c, std::string_view key,
         wkey += c.selected_suffix;
         writebacks.push_back(yokan::KeyValue{std::move(wkey), serial::to_string(accepted)});
     }
+    entry.rows = std::move(accepted);
     page.entries.push_back(std::move(entry));
 }
 
@@ -482,21 +573,20 @@ Result<Page> QueryProvider::produce_page_columnar(Cursor& c) {
                     }
                     if (inline_values) {
                         evaluate_blob_record(c, key, value, page, writebacks);
-                    } else if (c.covered.find(key.substr(0, kEventKeyBytes)) ==
-                               c.covered.end()) {
+                    } else if (!c.covered.contains(key)) {
                         uncovered.emplace_back(key);
                     }
                     return true;
                 });
             if (!chunk.ok()) return chunk.status();
             for (const auto& key : uncovered) {
-                auto value = c.db->get_at(key, c.view);
+                auto value = c.db->get_view_at(key, c.view);
                 if (!value.ok()) {
                     if (value.status().code() == StatusCode::kNotFound) continue;
                     return value.status();
                 }
                 stats_.events_uncovered.fetch_add(1, std::memory_order_relaxed);
-                evaluate_blob_record(c, key, *value, page, writebacks);
+                evaluate_blob_record(c, key, value->sv(), page, writebacks);
             }
             if (!chunk->last_key.empty()) c.pos = chunk->last_key;
             if (chunk->exhausted) c.done = true;
@@ -520,14 +610,14 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
     std::uint64_t chunk_id = 0;
     if (!columnar::parse_meta_key(meta_key, c.suffix, uuid, chunk_id)) return Status::OK();
 
-    auto meta_value = c.db->get_at(meta_key, c.view);
+    auto meta_value = c.db->get_view_at(meta_key, c.view);
     if (!meta_value.ok()) {
         // Deleted between scan and fetch: its events simply stay uncovered.
         if (meta_value.status().code() == StatusCode::kNotFound) return Status::OK();
         return meta_value.status();
     }
     page.bytes_scanned += meta_value->size();
-    auto dm = columnar::decode_meta(*meta_value);
+    auto dm = columnar::decode_meta(meta_value->sv());
     if (!dm.ok()) {
         // Corrupt metadata: nothing gets covered, so the blob phase serves
         // this chunk's events from their blobs.
@@ -538,15 +628,17 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
     const std::uint64_t total_rows = dm->meta.total_rows;
     // Decoded event directory: 3 u64 coordinates + 1 u32 row count per event.
     page.bytes_decompressed += n * (3 * 8 + 4);
+    auto event_key = [&](std::size_t i) {
+        return container_key(uuid, dm->runs[i], dm->subruns[i], dm->events[i]);
+    };
 
     // Coverage registration doubles as dedup: if two chunks carry the same
     // event (re-ingest), only the first to register serves it.
     std::vector<std::uint8_t> fresh(n, 0);
-    std::vector<std::string> ckeys(n);
     std::size_t num_fresh = 0;
+    c.covered.reserve(c.covered.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
-        ckeys[i] = container_key(uuid, dm->runs[i], dm->subruns[i], dm->events[i]);
-        if (c.covered.insert(ckeys[i]).second) {
+        if (c.covered.insert(event_key(i))) {
             fresh[i] = 1;
             ++num_fresh;
         }
@@ -565,12 +657,13 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
         if (f >= members.size()) return false;
         if (cols[f] != nullptr) return true;
         const auto& m = members[f];
-        auto value = c.db->get_at(columnar::chunk_key(uuid, c.suffix, m.name, chunk_id), c.view);
+        auto value =
+            c.db->get_view_at(columnar::chunk_key(uuid, c.suffix, m.name, chunk_id), c.view);
         if (!value.ok()) return false;
         page.bytes_scanned += value->size();
         columnar::ColumnBlock block;
         try {
-            serial::from_string(*value, block);
+            serial::from_string(value->sv(), block);
         } catch (const serial::SerializationError&) {
             return false;
         }
@@ -622,14 +715,14 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
         stats_.chunk_fallbacks.fetch_add(1, std::memory_order_relaxed);
         for (std::size_t i = 0; i < n; ++i) {
             if (!fresh[i]) continue;
-            std::string key = ckeys[i] + c.suffix;
-            auto value = c.db->get_at(key, c.view);
+            const std::string key = product_key_of(event_key(i), c.suffix);
+            auto value = c.db->get_view_at(key, c.view);
             if (!value.ok()) {
                 if (value.status().code() == StatusCode::kNotFound) continue;
                 return value.status();
             }
             stats_.events_uncovered.fetch_add(1, std::memory_order_relaxed);
-            evaluate_blob_record(c, key, *value, page, writebacks);
+            evaluate_blob_record(c, key, value->sv(), page, writebacks);
         }
         return Status::OK();
     }
@@ -656,13 +749,13 @@ Status QueryProvider::process_chunk(Cursor& c, const std::string& meta_key, Page
         entry.run = dm->runs[i];
         entry.subrun = dm->subruns[i];
         entry.event = dm->events[i];
-        entry.rows = accepted;
         stats_.events_accepted.fetch_add(1, std::memory_order_relaxed);
         stats_.rows_accepted.fetch_add(accepted.size(), std::memory_order_relaxed);
         if (c.spec.write_selected) {
-            writebacks.push_back(
-                yokan::KeyValue{ckeys[i] + c.selected_suffix, serial::to_string(accepted)});
+            writebacks.push_back(yokan::KeyValue{product_key_of(event_key(i), c.selected_suffix),
+                                                 serial::to_string(accepted)});
         }
+        entry.rows = std::move(accepted);
         page.entries.push_back(std::move(entry));
     }
     return Status::OK();
@@ -693,13 +786,14 @@ Status QueryProvider::rebuild_coverage(Cursor& c, std::string_view upto) {
             std::string_view uuid;
             std::uint64_t chunk_id = 0;
             columnar::parse_meta_key(meta_key, c.suffix, uuid, chunk_id);
-            auto value = c.db->get_at(meta_key, c.view);
+            auto value = c.db->get_view_at(meta_key, c.view);
             if (!value.ok()) {
                 if (value.status().code() == StatusCode::kNotFound) continue;
                 return value.status();
             }
-            auto dm = columnar::decode_meta(*value);
+            auto dm = columnar::decode_meta(value->sv());
             if (!dm.ok()) continue;  // corrupt meta never covered anything
+            c.covered.reserve(c.covered.size() + dm->runs.size());
             for (std::size_t i = 0; i < dm->runs.size(); ++i) {
                 c.covered.insert(
                     container_key(uuid, dm->runs[i], dm->subruns[i], dm->events[i]));

@@ -1089,6 +1089,9 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
                (key.size() >= prefix.size() && key.compare(0, prefix.size(), prefix) == 0);
     };
 
+    // The winning key is copied out before its sources advance (a table
+    // iterator's key views its current block); one buffer serves every key.
+    std::string key;
     while (true) {
         // Smallest key across the active cursor, imm cursors and tables.
         std::string_view best;
@@ -1114,7 +1117,7 @@ Status LsmDb::scan_stamped(std::string_view after, std::string_view prefix, bool
 
         // Resolve winner: active memtable first, then newest imm, then
         // newest table. Advance every source positioned at this key.
-        const std::string key(best);
+        key.assign(best);
         bool handled = false;
         bool keep_going = true;
         if (mcur->valid() && mcur->key() == key) {

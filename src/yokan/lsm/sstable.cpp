@@ -1,6 +1,11 @@
 #include "yokan/lsm/sstable.hpp"
 
-#include <cassert>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "common/crc32.hpp"
@@ -25,6 +30,21 @@ std::uint64_t read_u64(const char* p) {
     std::memcpy(&v, p, 8);
     return v;
 }
+
+/// Read exactly `n` bytes at `off`; false on error or a short file.
+bool pread_exact(int fd, char* dst, std::size_t n, std::uint64_t off) {
+    while (n > 0) {
+        const ssize_t got = ::pread(fd, dst, n, static_cast<off_t>(off));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) return false;
+        dst += got;
+        n -= static_cast<std::size_t>(got);
+        off += static_cast<std::uint64_t>(got);
+    }
+    return true;
+}
+
+constexpr std::size_t kFooterBytes = 56;
 
 }  // namespace
 
@@ -68,7 +88,7 @@ void SstWriter::cut_block() {
     BloomFilter block_bloom(block_keys_.size());
     for (const auto& k : block_keys_) block_bloom.insert(k);
     const std::string stored = encode_block(current_block_, compress_blocks_);
-    index_.push_back({last_key_, file_contents_.size(), stored.size(), crc32(stored),
+    index_.push_back({last_key_, file_contents_.size(), stored.size(), crc32c(stored),
                       static_cast<std::uint32_t>(current_block_.size()), block_bloom.encode(),
                       std::move(restarts_)});
     file_contents_.append(stored);
@@ -108,7 +128,7 @@ Result<TableMeta> SstWriter::finish() {
     append_u64(file_contents_, bloom_bytes.size());
     append_u64(file_contents_, meta_.entries);
     append_u64(file_contents_, compress_blocks_ ? 1 : 0);  // flags
-    append_u64(file_contents_, kSstMagic2);
+    append_u64(file_contents_, kSstMagic);
 
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     if (!f) return Status::IOError("cannot create sstable " + path_);
@@ -123,7 +143,7 @@ Result<TableMeta> SstWriter::finish() {
 // --------------------------------------------------------------- SstReader
 
 SstReader::~SstReader() {
-    if (file_) std::fclose(file_);
+    if (fd_ >= 0) ::close(fd_);
 }
 
 Result<std::shared_ptr<SstReader>> SstReader::open(const std::string& path,
@@ -134,70 +154,48 @@ Result<std::shared_ptr<SstReader>> SstReader::open(const std::string& path,
     reader->path_ = path;
     reader->file_number_ = file_number;
     reader->cache_ = std::move(cache);
-    reader->file_ = std::fopen(path.c_str(), "rb");
-    if (!reader->file_) return Status::IOError("cannot open sstable " + path);
+    reader->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (reader->fd_ < 0) return Status::IOError("cannot open sstable " + path);
 
-    // The trailing magic word picks the footer layout: 56 bytes for v2,
-    // 48 for v1 (pre-envelope tables, kept readable for upgrades).
-    if (std::fseek(reader->file_, -8, SEEK_END) != 0) {
+    const off_t file_size = ::lseek(reader->fd_, 0, SEEK_END);
+    if (file_size < static_cast<off_t>(kFooterBytes)) {
         return Status::Corruption("sstable too small: " + path);
     }
-    char magic_buf[8];
-    if (std::fread(magic_buf, 1, 8, reader->file_) != 8) {
-        return Status::Corruption("cannot read sstable magic: " + path);
+    const auto size = static_cast<std::uint64_t>(file_size);
+    char footer[kFooterBytes];
+    if (!pread_exact(reader->fd_, footer, kFooterBytes, size - kFooterBytes)) {
+        return Status::Corruption("cannot read sstable footer: " + path);
     }
-    const std::uint64_t magic = read_u64(magic_buf);
-    std::uint64_t index_off = 0, index_size = 0, bloom_off = 0, bloom_size = 0;
-    if (magic == kSstMagic2) {
-        reader->version_ = 2;
-        if (std::fseek(reader->file_, -56, SEEK_END) != 0) {
-            return Status::Corruption("sstable too small: " + path);
-        }
-        char footer[56];
-        if (std::fread(footer, 1, 56, reader->file_) != 56) {
-            return Status::Corruption("cannot read sstable footer: " + path);
-        }
-        index_off = read_u64(footer);
-        index_size = read_u64(footer + 8);
-        bloom_off = read_u64(footer + 16);
-        bloom_size = read_u64(footer + 24);
-        reader->entry_count_ = read_u64(footer + 32);
-        // footer + 40 holds the flags word (bit 0: compression requested).
-    } else if (magic == kSstMagic) {
-        reader->version_ = 1;
-        if (std::fseek(reader->file_, -48, SEEK_END) != 0) {
-            return Status::Corruption("sstable too small: " + path);
-        }
-        char footer[48];
-        if (std::fread(footer, 1, 48, reader->file_) != 48) {
-            return Status::Corruption("cannot read sstable footer: " + path);
-        }
-        index_off = read_u64(footer);
-        index_size = read_u64(footer + 8);
-        bloom_off = read_u64(footer + 16);
-        bloom_size = read_u64(footer + 24);
-        reader->entry_count_ = read_u64(footer + 32);
-    } else {
+    if (read_u64(footer + 48) != kSstMagic) {
         return Status::Corruption("bad sstable magic: " + path);
+    }
+    const std::uint64_t index_off = read_u64(footer);
+    const std::uint64_t index_size = read_u64(footer + 8);
+    const std::uint64_t bloom_off = read_u64(footer + 16);
+    const std::uint64_t bloom_size = read_u64(footer + 24);
+    reader->entry_count_ = read_u64(footer + 32);
+    // footer + 40 holds the flags word (bit 0: compression requested).
+    const std::uint64_t body = size - kFooterBytes;
+    if (index_off > body || index_size > body - index_off || bloom_off > body ||
+        bloom_size > body - bloom_off) {
+        return Status::Corruption("sstable footer points outside the file: " + path);
     }
 
     // Index.
     std::string index_bytes(index_size, '\0');
-    if (std::fseek(reader->file_, static_cast<long>(index_off), SEEK_SET) != 0 ||
-        std::fread(index_bytes.data(), 1, index_size, reader->file_) != index_size) {
+    if (!pread_exact(reader->fd_, index_bytes.data(), index_size, index_off)) {
         return Status::Corruption("cannot read sstable index: " + path);
     }
     std::size_t pos = 0;
     if (index_size < 8) return Status::Corruption("sstable index truncated: " + path);
     const std::uint64_t n = read_u64(index_bytes.data());
     pos = 8;
-    reader->index_.reserve(n);
+    reader->index_.reserve(std::min<std::uint64_t>(n, index_size / 32));
     for (std::uint64_t i = 0; i < n; ++i) {
         if (pos + 4 > index_bytes.size()) return Status::Corruption("index entry truncated");
         const std::uint32_t klen = read_u32(index_bytes.data() + pos);
         pos += 4;
-        const std::size_t fixed = reader->version_ == 2 ? 24 : 20;
-        if (pos + klen + fixed > index_bytes.size()) {
+        if (pos + klen + 28 > index_bytes.size()) {
             return Status::Corruption("index entry truncated");
         }
         IndexEntry e;
@@ -206,42 +204,36 @@ Result<std::shared_ptr<SstReader>> SstReader::open(const std::string& path,
         e.offset = read_u64(index_bytes.data() + pos);
         e.size = read_u64(index_bytes.data() + pos + 8);
         e.crc = read_u32(index_bytes.data() + pos + 16);
-        pos += 20;
-        if (reader->version_ == 2) {
-            e.raw_len = read_u32(index_bytes.data() + pos);
+        e.raw_len = read_u32(index_bytes.data() + pos + 20);
+        const std::uint32_t bloom_len = read_u32(index_bytes.data() + pos + 24);
+        pos += 28;
+        if (pos + std::size_t(bloom_len) + 4 > index_bytes.size()) {
+            return Status::Corruption("index entry truncated");
+        }
+        if (bloom_len > 0) {
+            e.bloom = BloomFilter::decode({index_bytes.data() + pos, bloom_len});
+            e.has_bloom = true;
+        }
+        pos += bloom_len;
+        const std::uint32_t n_restarts = read_u32(index_bytes.data() + pos);
+        pos += 4;
+        if (pos + std::size_t(n_restarts) * 4 > index_bytes.size()) {
+            return Status::Corruption("index entry truncated");
+        }
+        e.restarts.reserve(n_restarts);
+        for (std::uint32_t r = 0; r < n_restarts; ++r) {
+            e.restarts.push_back(read_u32(index_bytes.data() + pos));
             pos += 4;
-            if (pos + 4 > index_bytes.size()) return Status::Corruption("index entry truncated");
-            const std::uint32_t bloom_len = read_u32(index_bytes.data() + pos);
-            pos += 4;
-            if (pos + bloom_len + 4 > index_bytes.size()) {
-                return Status::Corruption("index entry truncated");
-            }
-            if (bloom_len > 0) {
-                e.bloom = BloomFilter::decode({index_bytes.data() + pos, bloom_len});
-                e.has_bloom = true;
-            }
-            pos += bloom_len;
-            const std::uint32_t n_restarts = read_u32(index_bytes.data() + pos);
-            pos += 4;
-            if (pos + std::size_t(n_restarts) * 4 > index_bytes.size()) {
-                return Status::Corruption("index entry truncated");
-            }
-            e.restarts.reserve(n_restarts);
-            for (std::uint32_t r = 0; r < n_restarts; ++r) {
-                e.restarts.push_back(read_u32(index_bytes.data() + pos));
-                pos += 4;
-            }
-        } else {
-            // v1 blocks are stored raw: decoded size == stored size.
-            e.raw_len = static_cast<std::uint32_t>(e.size);
+        }
+        if (e.offset > body || e.size > body - e.offset) {
+            return Status::Corruption("index entry points outside the file: " + path);
         }
         reader->index_.push_back(std::move(e));
     }
 
     // Bloom.
     std::string bloom_bytes(bloom_size, '\0');
-    if (std::fseek(reader->file_, static_cast<long>(bloom_off), SEEK_SET) != 0 ||
-        std::fread(bloom_bytes.data(), 1, bloom_size, reader->file_) != bloom_size) {
+    if (!pread_exact(reader->fd_, bloom_bytes.data(), bloom_size, bloom_off)) {
         return Status::Corruption("cannot read sstable bloom: " + path);
     }
     reader->bloom_ = BloomFilter::decode(bloom_bytes);
@@ -267,45 +259,31 @@ Result<std::shared_ptr<const std::string>> SstReader::read_block(std::size_t idx
     }
 
     std::shared_ptr<const std::string> stored;
-    if (cache_ && version_ == 2) {
-        stored = cache_->lookup(BlockCache::kCompressed, file_number_, idx);
-    }
+    if (cache_) stored = cache_->lookup(BlockCache::kCompressed, file_number_, idx);
     if (!stored) {
         if (cache_) cache_->note_miss();
         auto fresh = std::make_shared<std::string>(e.size, '\0');
-        {
-            std::lock_guard<std::mutex> lock(file_mutex_);
-            if (std::fseek(file_, static_cast<long>(e.offset), SEEK_SET) != 0 ||
-                std::fread(fresh->data(), 1, fresh->size(), file_) != fresh->size()) {
-                return Status::IOError("cannot read block from " + path_);
-            }
+        if (!pread_exact(fd_, fresh->data(), fresh->size(), e.offset)) {
+            return Status::IOError("cannot read block from " + path_);
         }
-        if (crc32(*fresh) != e.crc) {
+        if (crc32c(*fresh) != e.crc) {
             return Status::Corruption("sstable block checksum mismatch in " + path_);
         }
         if (cache_) {
             cache_->note_disk_read(fresh->size());
-            if (version_ == 2) {
-                cache_->insert(BlockCache::kCompressed, file_number_, idx, fresh);
-            }
+            cache_->insert(BlockCache::kCompressed, file_number_, idx, fresh);
         }
         stored = std::move(fresh);
     }
 
-    std::shared_ptr<const std::string> decoded;
-    if (version_ == 2) {
-        if (block_is_compressed(*stored) && cache_) cache_->note_decompression();
-        auto raw = std::make_shared<std::string>();
-        Status st = decode_block(*stored, *raw);
-        if (!st.ok()) {
-            return Status::Corruption(st.message() + " in " + path_);
-        }
-        decoded = std::move(raw);
-    } else {
-        decoded = std::move(stored);  // v1: the stored bytes ARE the block
+    if (block_is_compressed(*stored) && cache_) cache_->note_decompression();
+    auto decoded = std::make_shared<std::string>();
+    Status st = decode_block(*stored, *decoded);
+    if (!st.ok()) {
+        return Status::Corruption(st.message() + " in " + path_);
     }
     if (cache_) cache_->insert(BlockCache::kDecoded, file_number_, idx, decoded);
-    return decoded;
+    return std::shared_ptr<const std::string>(std::move(decoded));
 }
 
 Result<std::optional<std::string>> SstReader::get(std::string_view key) {
@@ -373,8 +351,8 @@ bool SstReader::Iterator::parse_current() {
     tombstone_ = (vlen == kTombstoneLen);
     const std::size_t vbytes = tombstone_ ? 0 : vlen;
     if (pos_ + 8 + klen + vbytes > block_->size()) return false;
-    key_.assign(block_->data() + pos_ + 8, klen);
-    value_.assign(block_->data() + pos_ + 8 + klen, vbytes);
+    key_ = std::string_view(block_->data() + pos_ + 8, klen);
+    value_ = std::string_view(block_->data() + pos_ + 8 + klen, vbytes);
     pos_ += 8 + klen + vbytes;
     return true;
 }
@@ -388,8 +366,7 @@ Status SstReader::Iterator::seek(std::string_view bound, bool inclusive) {
         Status st = load_block(blk);
         if (!st.ok()) return st;
         while (parse_current()) {
-            const std::string_view k(key_);
-            if (inclusive ? k >= bound : k > bound) {
+            if (inclusive ? key_ >= bound : key_ > bound) {
                 valid_ = true;
                 return Status::OK();
             }

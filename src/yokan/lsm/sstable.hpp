@@ -1,6 +1,6 @@
 // Immutable sorted-string tables for rockslite.
 //
-// Format v2 (written by this code):
+// Format:
 //   [block envelope]* [index] [bloom] [footer]
 //   block envelope: [codec u8][pad u8][raw_len u32][payload] (see block.hpp);
 //                   the raw block is a sequence of (klen u32, vlen u32, key,
@@ -9,27 +9,25 @@
 //   index:          count u64, then per block:
 //                     last_klen u32, last_key,
 //                     offset u64, size u64 (stored envelope bytes),
-//                     crc32 u32 (over the envelope), raw_len u32,
+//                     crc32c u32 (over the envelope), raw_len u32,
 //                     bloom_len u32, bloom bytes (per-block filter),
 //                     restart_count u32, restart offsets (u32 each, every
 //                     16th record, offsets into the raw block)
 //   bloom:          whole-table BloomFilter over every key
 //   footer (56 B):  index_off u64, index_size u64, bloom_off u64,
-//                   bloom_size u64, entry_count u64, flags u64, magic2 u64
+//                   bloom_size u64, entry_count u64, flags u64, magic u64
 //
 // Point-get path: table bloom -> block binary search -> per-block bloom
 // (skips the decode entirely on a miss) -> one envelope fetched via the
 // two-tier BlockCache -> restart-array binary search -> short linear scan.
 // At most ONE block is ever decompressed per get.
 //
-// Format v1 (48-byte footer, kSstMagic, no envelopes / per-block metadata)
-// stays fully readable for upgrades; v1 blocks bypass the compressed tier.
+// Block reads are positional (pread), so concurrent gets and iterators on
+// one reader share its file descriptor without a lock.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,8 +39,7 @@
 
 namespace hep::yokan::lsm {
 
-inline constexpr std::uint64_t kSstMagic = 0x524F434B534C5445ULL;   // "ROCKSLTE" (v1)
-inline constexpr std::uint64_t kSstMagic2 = 0x524F434B534C5432ULL;  // "ROCKSLT2" (v2)
+inline constexpr std::uint64_t kSstMagic = 0x524F434B534C5433ULL;  // "ROCKSLT3"
 inline constexpr std::uint32_t kTombstoneLen = 0xFFFFFFFFu;
 inline constexpr std::size_t kRestartInterval = 16;
 
@@ -113,9 +110,10 @@ class SstReader {
     [[nodiscard]] std::uint64_t entries() const noexcept { return entry_count_; }
     [[nodiscard]] std::uint64_t file_number() const noexcept { return file_number_; }
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
-    [[nodiscard]] int format_version() const noexcept { return version_; }
 
-    /// Forward iterator over (key, value, tombstone) triples.
+    /// Forward iterator over (key, value, tombstone) triples. key() and
+    /// value() view the pinned block: they stay valid until the iterator
+    /// moves.
     class Iterator {
       public:
         explicit Iterator(std::shared_ptr<SstReader> reader) : reader_(std::move(reader)) {}
@@ -140,7 +138,7 @@ class SstReader {
         std::size_t block_idx_ = 0;
         std::size_t pos_ = 0;
         bool valid_ = false;
-        std::string key_, value_;
+        std::string_view key_, value_;
         bool tombstone_ = false;
     };
 
@@ -160,15 +158,13 @@ class SstReader {
 
     std::string path_;
     std::uint64_t file_number_ = 0;
-    int version_ = 2;
-    std::FILE* file_ = nullptr;
-    std::mutex file_mutex_;
+    int fd_ = -1;
     std::shared_ptr<BlockCache> cache_;
     struct IndexEntry {
         std::string last_key;
         std::uint64_t offset;
-        std::uint64_t size;     // stored bytes on disk (envelope for v2)
-        std::uint32_t crc;      // over the stored bytes
+        std::uint64_t size;     // stored envelope bytes on disk
+        std::uint32_t crc;      // crc32c over the stored bytes
         std::uint32_t raw_len;  // decoded block bytes
         bool has_bloom = false;
         BloomFilter bloom{0};

@@ -189,7 +189,7 @@ bool VersionSet::is_manifest_file(std::string_view name) noexcept {
 Status VersionSet::append_record(std::string_view payload) {
     std::string frame;
     frame.reserve(8 + payload.size());
-    const std::uint32_t crc = crc32(payload);
+    const std::uint32_t crc = crc32c(payload);
     const auto len = static_cast<std::uint32_t>(payload.size());
     frame.append(reinterpret_cast<const char*>(&crc), 4);
     frame.append(reinterpret_cast<const char*>(&len), 4);
@@ -242,7 +242,7 @@ Status VersionSet::load_log(const std::string& path) {
         std::memcpy(&len, contents.data() + pos + 4, 4);
         if (pos + 8 + len > contents.size()) break;  // torn tail
         const std::string_view payload(contents.data() + pos + 8, len);
-        if (crc32(payload) != crc) break;  // corrupt tail
+        if (crc32c(payload) != crc) break;  // corrupt tail
         auto edit = VersionEdit::decode(payload);
         if (!edit.ok()) break;
         state_.apply(*edit);
@@ -364,7 +364,7 @@ Status VersionSet::write_snapshot_and_flip(char target) {
         const std::string payload = snapshot.encode();
         std::string frame;
         frame.reserve(8 + payload.size());
-        const std::uint32_t crc = crc32(payload);
+        const std::uint32_t crc = crc32c(payload);
         const auto len = static_cast<std::uint32_t>(payload.size());
         frame.append(reinterpret_cast<const char*>(&crc), 4);
         frame.append(reinterpret_cast<const char*>(&len), 4);

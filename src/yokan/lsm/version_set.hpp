@@ -16,9 +16,9 @@
 //     fsync'd, and only then is CURRENT flipped (write CURRENT.tmp, fsync,
 //     rename, fsync dir). A crash before the flip leaves the old log
 //     authoritative; after the flip the new one is — never neither.
-//   * records are CRC-framed ([crc32 u32][len u32][payload]); replay stops at
-//     the first torn or corrupt record, which by construction only ever
-//     truncates un-acknowledged tail edits.
+//   * records are CRC32C-framed ([crc32c u32][len u32][payload]); replay
+//     stops at the first torn or corrupt record, which by construction only
+//     ever truncates un-acknowledged tail edits.
 //
 // Legacy upgrade: when no CURRENT exists but a format-1/2 MANIFEST.json
 // does, recover() parses it, immediately persists the state in the new

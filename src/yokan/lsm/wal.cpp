@@ -41,7 +41,7 @@ Status Wal::append(RecordType type, std::string_view key, std::string_view epoch
     frame_.append(value);
 
     const std::string_view body(frame_.data() + 8, frame_.size() - 8);
-    const std::uint32_t crc = crc32(body);
+    const std::uint32_t crc = crc32c(body);
     const std::uint32_t len = static_cast<std::uint32_t>(body.size());
     std::memcpy(frame_.data(), &crc, 4);
     std::memcpy(frame_.data() + 4, &len, 4);
@@ -96,7 +96,7 @@ Result<std::uint64_t> Wal::replay(const std::string& path, const ReplayFn& fn) {
         std::memcpy(&len, data.data() + pos + 4, 4);
         if (pos + 8 + len > data.size()) break;  // torn tail record
         std::string_view body(data.data() + pos + 8, len);
-        if (crc32(body) != crc) break;  // corrupt record: stop replay
+        if (crc32c(body) != crc) break;  // corrupt record: stop replay
         if (len < 5) break;
         const auto type = static_cast<RecordType>(body[0]);
         std::uint32_t klen = 0;

@@ -1,7 +1,7 @@
 // Write-ahead log: every mutation is appended (CRC-framed) before it is
 // applied to the memtable, so a crash loses nothing that was acknowledged.
 //
-// Record framing:  [crc32 u32][len u32][type u8][klen u32][key][value]
+// Record framing:  [crc32c u32][len u32][type u8][klen u32][key][value]
 // type: 1 = put, 2 = delete (value empty), 3 = epoch-tagged put whose value
 // is [epoch u32][payload]. Replay stops at the first corrupt or truncated
 // record (standard torn-write handling).

@@ -12,6 +12,7 @@
 // product/event keys, which is what snapshot readers scan).
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <shared_mutex>
 
@@ -50,7 +51,14 @@ class MapBackend final : public Database {
 
     mutable std::shared_mutex mutex_;
     std::map<std::string, Slot, std::less<>> map_;
-    mutable BackendStats stats_;
+    // Readers bump these under the SHARED lock, concurrently: relaxed atomics.
+    struct Counters {
+        std::atomic<std::uint64_t> puts{0};
+        std::atomic<std::uint64_t> gets{0};
+        std::atomic<std::uint64_t> scans{0};
+        std::atomic<std::uint64_t> erases{0};
+    };
+    mutable Counters counters_;
 };
 
 }  // namespace hep::yokan

@@ -14,6 +14,7 @@
 #include "columnar/chunk.hpp"
 #include "columnar/schema.hpp"
 #include "dataloader/loader.hpp"
+#include "hepnos/keys.hpp"
 #include "hepnos/query.hpp"
 #include "query/client.hpp"
 #include "query/evaluator.hpp"
@@ -206,9 +207,18 @@ TEST(ColumnarShredTest, ChunkKeysParseBackAndPrefixCoversMetas) {
     const std::string meta =
         columnar::chunk_key(uuid, suffix, columnar::kMetaMember, 5);
     const std::string member = columnar::chunk_key(uuid, suffix, "nhits", 5);
+    const std::string other = columnar::chunk_key(uuid, "other#bar", columnar::kMetaMember, 5);
     EXPECT_NE(meta, member);
-    EXPECT_EQ(meta.rfind(columnar::meta_scan_prefix(uuid), 0), 0u);
-    EXPECT_EQ(member.rfind(columnar::meta_scan_prefix(uuid), 0), 0u);
+    // A full uuid narrows the scan to this product's @meta keys alone...
+    const std::string narrow = columnar::meta_scan_prefix(uuid, suffix);
+    EXPECT_EQ(meta.rfind(narrow, 0), 0u);
+    EXPECT_NE(member.rfind(narrow, 0), 0u);
+    EXPECT_NE(other.rfind(narrow, 0), 0u);
+    // ...a shorter dataset prefix keeps the wide "col/<prefix>" range.
+    const std::string wide = columnar::meta_scan_prefix(uuid.substr(0, 4), suffix);
+    EXPECT_EQ(meta.rfind(wide, 0), 0u);
+    EXPECT_EQ(member.rfind(wide, 0), 0u);
+    EXPECT_EQ(other.rfind(wide, 0), 0u);
 
     std::string_view got_uuid;
     std::uint64_t chunk_id = 0;
@@ -501,6 +511,103 @@ TEST(ColumnarServiceTest, CursorLossAtChunkBoundariesLosesNothing) {
     auto rejected = engine.forward<query::proto::OpenReq, query::proto::OpenResp>(
         db.server(), "query_open", db.provider(), bad);
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Two chunked products in one database: a full-uuid columnar scan walks only
+// the scanned product's @meta keys in its chunk phase (then every key of the
+// dataset in its blob phase), while a shorter prefix falls back to the wide
+// "col/<prefix>" walk. Both agree with the blob scan bit for bit.
+TEST(ColumnarServiceTest, FullUuidChunkPhaseScansOnlyTheProductsMetaKeys) {
+    test_util::TestServiceOptions opts;
+    opts.dbs_per_role = 1;
+    opts.query_pushdown = true;
+    opts.columnar = columnar_knob(16, 4);
+    test_util::TestService service(opts);
+    auto store = hepnos::DataStore::connect(service.network, service.connection);
+    const std::string other_label = "slices_alt";
+    {
+        std::uint64_t state = 99;
+        hepnos::WriteBatch batch(store.impl());
+        auto sr = store.createDataSet("nova/twoprod").createRun(1).createSubRun(1);
+        for (std::uint64_t e = 0; e < 80; ++e) {
+            std::vector<nova::Slice> a, b;
+            for (std::uint64_t i = 0; i < 1 + e % 5; ++i) a.push_back(random_slice(state));
+            for (std::uint64_t i = 0; i < 2 + e % 3; ++i) b.push_back(random_slice(state));
+            auto ev = sr.createEvent(e);
+            ev.store(nova::kSliceLabel, a, &batch);
+            ev.store(other_label, b, &batch);
+        }
+        batch.flush();
+    }
+
+    hepnos::DataSet ds = store["nova/twoprod"];
+    const std::string uuid(ds.uuid().bytes());
+    const auto& db = store.impl()->databases(hepnos::Role::kProducts).at(0);
+    auto* qp = service.servers.at(0)->find_query_provider(db.provider());
+    ASSERT_NE(qp, nullptr);
+    yokan::Database* server_db =
+        service.servers.at(0)->find_provider(db.provider())->find_database(db.name());
+    ASSERT_NE(server_db, nullptr);
+    auto count_keys = [&](std::string_view prefix) {
+        auto keys = server_db->list_keys({}, prefix, 1u << 20);
+        EXPECT_TRUE(keys.ok());
+        return keys.ok() ? keys->size() : std::size_t{0};
+    };
+
+    auto spec = query::nova_selection_spec(loose_cuts(), slices_type());
+    auto other_spec = spec;
+    other_spec.label = other_label;
+    const std::string suffix = hepnos::product_key("", spec.label, spec.type);
+    const std::string other_suffix = hepnos::product_key("", other_label, spec.type);
+    std::size_t metas = 0, other_metas = 0;
+    auto col_keys = server_db->list_keys({}, columnar::kColPrefix, 1u << 20);
+    ASSERT_TRUE(col_keys.ok());
+    for (const auto& key : *col_keys) {
+        std::string_view got_uuid;
+        std::uint64_t chunk_id = 0;
+        if (columnar::parse_meta_key(key, suffix, got_uuid, chunk_id)) ++metas;
+        if (columnar::parse_meta_key(key, other_suffix, got_uuid, chunk_id)) ++other_metas;
+    }
+    ASSERT_GT(metas, 1u);
+    ASSERT_GT(other_metas, 1u);
+    // Member columns of both products share the "col/<uuid>" range.
+    ASSERT_GT(col_keys->size(), metas + other_metas);
+
+    auto run = [&](const query::proto::QuerySpec& sp, std::string_view prefix, bool col,
+                   std::uint64_t& keys_examined) {
+        query::QueryOptions qopts;
+        qopts.columnar = col;
+        qopts.page_entries = 1u << 16;  // one page per phase: no re-scanned keys
+        std::vector<query::proto::Entry> entries;
+        query::ClientStats stats;
+        const std::uint64_t before = qp->stats().keys_examined.load();
+        Status st = query::QueryClient(store.impl()->engine(), db)
+                        .run(sp, prefix, entries, stats, qopts);
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        keys_examined = qp->stats().keys_examined.load() - before;
+        if (col) {
+            EXPECT_GT(stats.chunks_scanned, 0u);
+        }
+        return packed_ids(entries);
+    };
+
+    const std::string short_prefix = uuid.substr(0, 5);
+    for (const auto* sp : {&spec, &other_spec}) {
+        const std::size_t own_metas = sp == &spec ? metas : other_metas;
+        std::uint64_t blob_keys = 0, narrow_keys = 0, wide_keys = 0, unused = 0;
+        const auto blob = run(*sp, uuid, /*col=*/false, blob_keys);
+        ASSERT_FALSE(blob.empty());
+        EXPECT_EQ(blob_keys, count_keys(uuid));
+        // Chunk phase: exactly this product's @meta keys; blob phase: every
+        // key of the dataset.
+        EXPECT_EQ(run(*sp, uuid, /*col=*/true, narrow_keys), blob);
+        EXPECT_EQ(narrow_keys, own_metas + count_keys(uuid));
+        // A prefix shorter than a uuid keeps the wide walk, same results.
+        EXPECT_EQ(run(*sp, short_prefix, /*col=*/true, wide_keys), blob);
+        EXPECT_EQ(wide_keys, count_keys(std::string(columnar::kColPrefix) + short_prefix) +
+                                 count_keys(short_prefix));
+        EXPECT_EQ(run(*sp, short_prefix, /*col=*/false, unused), blob);
+    }
 }
 
 TEST(ColumnarServiceTest, MatchesBlobOnLsmBackend) {

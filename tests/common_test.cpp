@@ -1,5 +1,5 @@
 // Unit and property tests for src/common: status, endian encoding, hashing,
-// consistent-hash ring, UUIDs, RNG, JSON.
+// CRC32C, consistent-hash ring, UUIDs, RNG, JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/endian.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
@@ -110,6 +111,53 @@ TEST(HashTest, Mix64Avalanches) {
     const double avg = static_cast<double>(total_flips) / kTrials;
     EXPECT_GT(avg, 24.0);
     EXPECT_LT(avg, 40.0);
+}
+
+// ----------------------------------------------------------------- CRC32C ---
+
+// The standard CRC32C check value (RFC 3720 appendix B.4 lists the same
+// polynomial), computed on every path the header offers.
+constexpr std::string_view kCheckInput = "123456789";
+constexpr std::uint32_t kCheckCrc = 0xE3069283u;
+
+TEST(Crc32cTest, KnownAnswerOnEveryPath) {
+    static_assert(crc32c(kCheckInput) == kCheckCrc, "constant-evaluated path");
+    EXPECT_EQ(crc32c(kCheckInput), kCheckCrc);  // runtime dispatch
+    EXPECT_EQ(~detail::crc32c_sliced(kCheckInput.data(), kCheckInput.size(), ~0u), kCheckCrc);
+    EXPECT_EQ(~detail::crc32c_bytewise(kCheckInput, ~0u), kCheckCrc);
+#if defined(HEP_CRC32C_X86)
+    if (detail::crc32c_hw_available()) {
+        EXPECT_EQ(~detail::crc32c_hw(kCheckInput.data(), kCheckInput.size(), ~0u), kCheckCrc);
+    } else {
+        GTEST_LOG_(INFO) << "no SSE4.2 on this CPU: hardware CRC32C path not exercised";
+    }
+#endif
+    EXPECT_EQ(crc32c(""), 0u);
+    // 32 zero bytes: the second RFC 3720 vector.
+    EXPECT_EQ(crc32c(std::string(32, '\0')), 0x8A9136AAu);
+}
+
+TEST(Crc32cTest, PathsAgreeAndChainedEqualsOneShot) {
+    std::string data;
+    Rng rng(7);
+    for (int i = 0; i < 5000; ++i) data.push_back(static_cast<char>(rng.next_u64() & 0xFF));
+    // Every length 0..64 and a few long ones, at odd offsets (unaligned loads).
+    for (std::size_t len : {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 1000, 4093}) {
+        const std::string_view piece(data.data() + 3, len);
+        const std::uint32_t one_shot = crc32c(piece);
+        EXPECT_EQ(~detail::crc32c_bytewise(piece, ~0u), one_shot) << len;
+        EXPECT_EQ(~detail::crc32c_sliced(piece.data(), piece.size(), ~0u), one_shot) << len;
+#if defined(HEP_CRC32C_X86)
+        if (detail::crc32c_hw_available()) {
+            EXPECT_EQ(~detail::crc32c_hw(piece.data(), piece.size(), ~0u), one_shot) << len;
+        }
+#endif
+        for (std::size_t cut = 0; cut <= len; cut += 1 + len / 7) {
+            const std::uint32_t chained = crc32c(piece.substr(cut), crc32c(piece.substr(0, cut)));
+            EXPECT_EQ(chained, one_shot) << len << " cut at " << cut;
+        }
+    }
+    EXPECT_NE(crc32c("hepnos"), crc32c("hepnoS"));
 }
 
 TEST(HashRingTest, LookupIsStable) {

@@ -1,7 +1,7 @@
 // Concurrency tests for the pipelined LSM write path: versioned reads that
 // never block behind background compaction, cursor resume across table
-// rotation, WAL group commit durability, and the erase-triggers-flush and
-// sync-outside-the-lock bug fixes.
+// rotation, WAL group commit durability, the erase-triggers-flush and
+// sync-outside-the-lock bug fixes, and lock-free reads of one shared SST.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 
 #include "abt/abt.hpp"
 #include "yokan/lsm/lsm_db.hpp"
+#include "yokan/lsm/sstable.hpp"
 
 namespace fs = std::filesystem;
 
@@ -401,6 +402,77 @@ TEST(LsmConcurrencyTest, LockFreeActiveMemtableReadersSeeAcknowledgedWrites) {
                       return true;
                   }).ok());
     EXPECT_EQ(found, static_cast<std::uint64_t>(kKeys));
+}
+
+// One SstReader shared by several threads: point gets and full iterations
+// all miss a deliberately tiny block cache, so they race on positional reads
+// of the same file descriptor (no reader lock) and on the shared cache. Every
+// value must come back intact and every iteration strictly ordered.
+TEST(LsmConcurrencyTest, ConcurrentGetsAndIteratorsShareOneSstReader) {
+    const std::string dir = temp_dir("shared_reader");
+    constexpr int kKeys = 2000;
+    auto key_at = [](int i) {
+        char buf[16];
+        std::snprintf(buf, sizeof buf, "sr%06d", i);
+        return std::string(buf);
+    };
+    lsm::SstWriter writer(dir + "/t.sst", 1, 256 /* many small blocks */, kKeys,
+                          /*compress_blocks=*/true);
+    for (int i = 0; i < kKeys; ++i) {
+        const std::string key = key_at(i);
+        ASSERT_TRUE(writer.add(key, value_for(key)).ok());
+    }
+    ASSERT_TRUE(writer.finish().ok());
+    // ~2 KiB per tier: almost every block access goes back to the file.
+    auto cache = std::make_shared<lsm::BlockCache>(2048);
+    auto opened = lsm::SstReader::open(dir + "/t.sst", 1, cache);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    std::shared_ptr<lsm::SstReader> reader = *opened;
+
+    std::atomic<std::uint64_t> bad_gets{0}, bad_scans{0}, gets{0}, scanned{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            if (t % 2 == 0) {
+                for (int n = 0; n < 3000; ++n) {
+                    const std::string key = key_at((n * 7919 + t * 131) % kKeys);
+                    auto got = reader->get(key);
+                    if (!got.ok() || !got->has_value() || **got != value_for(key)) ++bad_gets;
+                    ++gets;
+                }
+                return;
+            }
+            for (int pass = 0; pass < 3; ++pass) {
+                auto it = reader->make_iterator();
+                if (!it.seek_geq(key_at(pass * 100)).ok()) {
+                    ++bad_scans;
+                    return;
+                }
+                int expect = pass * 100;
+                while (it.valid()) {
+                    if (it.key() != key_at(expect) || it.value() != value_for(it.key())) {
+                        ++bad_scans;
+                    }
+                    ++expect;
+                    ++scanned;
+                    if (!it.next().ok()) {
+                        ++bad_scans;
+                        break;
+                    }
+                }
+                if (expect != kKeys) ++bad_scans;
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(bad_gets.load(), 0u);
+    EXPECT_EQ(bad_scans.load(), 0u);
+    EXPECT_EQ(gets.load(), 2u * 3000u);
+    EXPECT_GT(scanned.load(), 0u);
+    EXPECT_GT(cache->stats().disk_reads, 100u);  // the file really was re-read
+    reader.reset();
+    fs::remove_all(dir);
 }
 
 }  // namespace
